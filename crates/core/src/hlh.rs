@@ -38,10 +38,12 @@
 //!   same interval pairs; the classifier remains the fallback for cells the
 //!   table does not cover.
 //!
-//! Levels also come in a *terminal* flavour ([`HlhK::new_terminal`]): the
-//! last level of a run is never extended, so its instance bindings are never
-//! read — a terminal level keeps supports and patterns but skips the binding
-//! pool entirely, which is where the bulk of a level's footprint lives.
+//! A level also comes in a *terminal* flavour ([`HlhK::new_terminal`]): the
+//! per-combination structure the miner streams the last level of a run
+//! through. The last level is never extended, so its instance bindings are
+//! never read — a terminal structure keeps supports and patterns but skips
+//! the binding pool entirely, and it holds one (k−1)-group × `E_k`
+//! combination at a time, emptied by [`HlhK::clear`] for the next.
 //!
 //! # Validation & hot-path discipline
 //!
@@ -50,9 +52,10 @@
 //! arithmetic — that [`Hlh1::validate`], [`HlhK::validate`] and
 //! [`VerdictTable::validate`] check exhaustively (see the
 //! [`invariants`](crate::invariants) module; the miner runs them at every
-//! level boundary under `debug_assertions` or the `strict-invariants`
-//! feature). The per-occurrence entry points (`instances_at_index`,
-//! `binding_ids_at`, `push_verdict`, `add_pattern_occurrence`, …) are
+//! level boundary and on every streamed terminal combination under
+//! `debug_assertions` or the `strict-invariants` feature). The
+//! per-occurrence entry points (`instances_at_index`, `binding_ids_at`,
+//! `push_verdict`, `add_pattern_occurrence`, …) are
 //! marked `// lint: hot-path`: the project lint pass rejects any allocating
 //! construct added to them, keeping occurrence inserts bump-appends and
 //! granule reads two offset lookups.
@@ -252,8 +255,8 @@ impl PatternEntry {
 
     /// The binding ids of granule `support[idx]` — a two-offset lookup for
     /// callers that located the granule via an indexed intersection. Resolve
-    /// each id to its instance slice with [`HlhK::binding`]. Empty on a
-    /// terminal level, which records no bindings.
+    /// each id to its instance slice with [`HlhK::binding`]. Empty in a
+    /// terminal structure, which records no bindings.
     #[must_use]
     // lint: hot-path
     pub fn binding_ids_at_index(&self, idx: usize) -> &[u32] {
@@ -578,10 +581,10 @@ pub struct HlhK {
     /// Packed pattern key → pattern id.
     pattern_index: FxHashMap<Box<[u64]>, PatternId>,
     /// Flat instance pool: binding `b` occupies slots `b*k .. (b+1)*k`.
-    /// Empty for terminal levels, which record no bindings at all.
+    /// Empty for terminal structures, which record no bindings at all.
     pool: Vec<EventInstance>,
     /// Whether occurrences append their binding to the pool. `false` for the
-    /// terminal level of a run: no later level reads its bindings.
+    /// terminal structure: no later level reads its bindings.
     record_bindings: bool,
     /// Level-2 relation verdicts (empty unless this is a non-terminal
     /// `HLH_2` mined with verdict recording).
@@ -604,9 +607,13 @@ impl HlhK {
         }
     }
 
-    /// Creates an empty *terminal* level: occurrences are counted into the
-    /// supports as usual, but no binding is appended to the instance pool.
-    /// The miner uses this for `k == maxPatternLen` — nothing ever reads the
+    /// Creates an empty *terminal* structure: occurrences are counted into
+    /// the supports as usual, but no binding is appended to the instance
+    /// pool. The miner streams `k == maxPatternLen` through one such
+    /// structure per shard, reused for every (k−1)-group × `E_k`
+    /// combination (every level-2 pair at k = 2): it is filled with one
+    /// combination, gated, emitted and emptied with [`clear`](Self::clear),
+    /// so the last level never exists as a whole. Nothing ever reads the
     /// last level's bindings, and the pool is where most of a level's
     /// footprint lives.
     #[must_use]
@@ -621,13 +628,6 @@ impl HlhK {
     #[must_use]
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Whether occurrences record their instance bindings (`false` for
-    /// terminal levels).
-    #[must_use]
-    pub fn records_bindings(&self) -> bool {
-        self.record_bindings
     }
 
     /// The level-2 relation verdict side table (empty for k ≥ 3 levels and
@@ -858,12 +858,26 @@ impl HlhK {
         removed
     }
 
+    /// Empties the structure for reuse. Arenas, indexes and pool keep their
+    /// capacity, so refilling allocates only what outgrows it. The streamed
+    /// terminal level empties its per-combination structure with this after
+    /// each combination.
+    pub fn clear(&mut self) {
+        self.groups.clear();
+        self.group_index.clear();
+        self.patterns.clear();
+        self.pattern_index.clear();
+        self.pool.clear();
+        self.verdicts = VerdictTable::default();
+    }
+
     /// Merges per-shard levels produced by parallel mining into one `HLH_k`,
     /// preserving shard order. Sharding partitions the candidate space so
     /// that every group (and therefore every pattern) is produced by exactly
     /// one shard; concatenating the arenas and the pools in shard order —
     /// remapping each shard's ids by a constant offset — makes the merged
-    /// level identical to the one sequential mining builds.
+    /// level identical to the one sequential mining builds. Only levels that
+    /// record bindings are merged: the terminal level is streamed.
     ///
     /// # Panics
     /// Panics when two shards produced the same group or pattern — that
@@ -871,15 +885,8 @@ impl HlhK {
     #[must_use]
     pub fn merge_shards(k: usize, shards: Vec<HlhK>) -> Self {
         let mut merged = Self::new(k);
-        if let Some(first) = shards.first() {
-            merged.record_bindings = first.record_bindings;
-        }
         for shard in shards {
             assert_eq!(shard.k, k, "cannot merge levels of different k");
-            assert_eq!(
-                shard.record_bindings, merged.record_bindings,
-                "cannot merge terminal and non-terminal shards"
-            );
             merged.verdicts.merge_from(shard.verdicts);
             let pattern_offset = u32::try_from(merged.patterns.len()).expect("patterns fit u32");
             let group_offset = u32::try_from(merged.groups.len()).expect("groups fit u32");
@@ -1549,6 +1556,51 @@ mod tests {
         assert_eq!(hlh2.bindings_at(PatternId(0), 2).count(), 1);
         // Retaining again removes nothing.
         assert_eq!(hlh2.retain_candidates(&cfg), 0);
+    }
+
+    #[test]
+    fn clear_empties_a_terminal_structure_for_reuse() {
+        let mut combination = HlhK::new_terminal(2);
+        let group = vec![label(0, 1), label(1, 1)];
+        let follows =
+            TemporalPattern::pair([label(0, 1), label(1, 1)], RelationKind::Follows, false);
+        let contains =
+            TemporalPattern::pair([label(0, 1), label(1, 1)], RelationKind::Contains, false);
+        let binding = [
+            EventInstance::new(label(0, 1), Interval::new(1, 1)),
+            EventInstance::new(label(1, 1), Interval::new(2, 2)),
+        ];
+        let gid = combination.insert_group(group.clone(), vec![1, 2]);
+        add(&mut combination, gid, &follows, 1, &binding);
+        add(&mut combination, gid, &contains, 2, &binding);
+        add(&mut combination, gid, &follows, 2, &binding);
+        assert!(combination.validate().is_ok());
+        // A terminal structure keeps supports but no bindings.
+        assert!(combination.pool.is_empty());
+        let entries: Vec<(&TemporalPattern, &[GranulePos])> = combination
+            .patterns()
+            .iter()
+            .map(|entry| (&entry.pattern, entry.support.as_slice()))
+            .collect();
+        assert_eq!(
+            entries,
+            vec![(&follows, &[1, 2][..]), (&contains, &[2][..])],
+            "entries are kept in insertion order"
+        );
+        combination.clear();
+        assert!(combination.is_empty());
+        assert_eq!(combination.num_groups(), 0);
+        assert!(combination.group(&group).is_none());
+        assert_eq!(combination.footprint_bytes(), 0);
+        // The emptied structure takes the next combination from scratch.
+        let gid = combination.insert_group(group, vec![3]);
+        assert_eq!(gid, GroupId(0));
+        assert_eq!(
+            add(&mut combination, gid, &follows, 3, &binding),
+            PatternId(0)
+        );
+        assert_eq!(combination.patterns()[0].support, vec![3]);
+        assert!(combination.validate().is_ok());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   single events that participate in candidate (k-1)-patterns
 //!   (transitivity pruning, Lemmas 3–4). Relations are verified on the
 //!   instance bindings stored in `HLH_{k-1}`, candidate patterns are kept in
-//!   `HLH_k`, and the frequent ones are reported.
+//!   `HLH_k`, and the frequent ones are reported. The last level is
+//!   streamed instead of kept (see below).
 //!
 //! Both prunings can be disabled individually through
 //! [`PruningMode`](crate::config::PruningMode) to reproduce the ablation
@@ -25,14 +26,23 @@
 //! [`ResolvedConfig::threads`]) is greater than one, the candidate space of
 //! each level is split into contiguous shards mined on scoped worker threads;
 //! the per-shard `HLH_k` structures are merged back in shard order
-//! ([`HlhK::merge_shards`]), which makes the parallel output *identical* —
-//! pattern order included — to the sequential one.
+//! ([`HlhK::merge_shards`]), and the streamed terminal level's per-shard
+//! output is concatenated in shard order, which makes the parallel output
+//! *identical* — pattern order included — to the sequential one.
 //!
 //! Extension at level k only ever reads `HLH_2` (transitivity lookups) and
 //! `HLH_{k-1}` (instance bindings), so those are the only levels kept alive:
-//! every earlier level is dropped as soon as its successor exists, and
+//! every earlier level is dropped as soon as its successor exists. The last
+//! level (`k == maxPatternLen`, k = 2 included) is never built at all: it is
+//! mined one combination — a (k-1)-group × `E_k`, or a level-2 pair — at a
+//! time into one reused per-combination structure, which is gated, emitted
+//! and emptied as soon as the combination is done. This is exact and keeps
+//! the output order, because every k-group comes from exactly one
+//! combination (`E_k` is larger than the group's last member) and
+//! combinations run in the order their patterns were first inserted.
 //! [`MiningStats::peak_footprint_bytes`] reports the peak of the *live*
-//! structures, not the historical sum of all levels.
+//! structures, not the historical sum of all levels; for the last level
+//! that is the largest per-combination structure.
 //!
 //! # Level-2 reuse at k ≥ 3
 //!
@@ -49,9 +59,11 @@
 //!   [`LevelStats::classifier_calls_saved`]); the closed-form classifier
 //!   remains as the fallback for unrecorded pairs and as the debug-build
 //!   cross-check;
-//! * the last level of a run is mined *terminal* ([`HlhK::new_terminal`]):
-//!   nothing ever reads its bindings, so the binding pool — the bulk of a
-//!   level's footprint — is never populated.
+//! * the last level of a run is streamed through a *terminal* structure
+//!   ([`HlhK::new_terminal`]): nothing ever reads its bindings, so the
+//!   binding pool — the bulk of a level's footprint — is never populated,
+//!   and it holds one combination at a time, so the level's candidate
+//!   patterns, hash index and group supports never pile up.
 //!
 //! # Batch vs streaming
 //!
@@ -69,7 +81,9 @@
 use crate::config::{ResolvedConfig, StpmConfig};
 use crate::engine::{phases, EngineReport, MiningEngine, MiningInput, PhaseTiming, PruningSummary};
 use crate::error::Result;
-use crate::hlh::{EventEntry, GroupEntry, GroupId, Hlh1, HlhK, PairVerdicts, RelationAdjacency};
+use crate::hlh::{
+    EventEntry, GroupEntry, GroupId, Hlh1, HlhK, PairVerdicts, PatternEntry, RelationAdjacency,
+};
 use crate::pattern::{encode_label, encode_triple, RelationTriple, TemporalPattern};
 use crate::relation::{
     chronological_order, classify_relation, decode_verdict, encode_verdict, VERDICT_NONE,
@@ -126,6 +140,122 @@ impl LevelCounters {
         self.classifier_calls_saved += other.classifier_calls_saved;
         self.adjacency_pruned_candidates += other.adjacency_pruned_candidates;
     }
+}
+
+/// What mining one shard of a level produces.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one value per shard and level
+enum LevelOutput {
+    /// A level that will be extended: the shard's full `HLH_k`.
+    Materialised(HlhK),
+    /// The terminal level, streamed one combination at a time.
+    Streamed(StreamedLevel),
+}
+
+impl LevelOutput {
+    /// Wraps a chunk miner's result: its streamed output when the level is
+    /// terminal, its `HLH_k` otherwise.
+    fn of(level: HlhK, streamed: Option<StreamedLevel>) -> Self {
+        match streamed {
+            Some(out) => Self::Streamed(out),
+            None => Self::Materialised(level),
+        }
+    }
+
+    /// Merges the per-shard outputs of one level in shard order. All shards
+    /// of a level are of the same kind.
+    fn merge_shards(k: usize, shards: Vec<LevelOutput>) -> Self {
+        let mut levels = Vec::with_capacity(shards.len());
+        let mut streamed: Option<StreamedLevel> = None;
+        for shard in shards {
+            match shard {
+                Self::Materialised(level) => levels.push(level),
+                Self::Streamed(out) => streamed.get_or_insert_with(Default::default).append(out),
+            }
+        }
+        debug_assert!(
+            streamed.is_none() || levels.is_empty(),
+            "a level is either streamed or materialised in every shard"
+        );
+        match streamed {
+            Some(out) => Self::Streamed(out),
+            None => Self::Materialised(HlhK::merge_shards(k, levels)),
+        }
+    }
+}
+
+/// The streamed terminal level of one shard. Each (k-1)-group × `E_k`
+/// combination (each level-2 pair at k = 2) is mined into one reused
+/// terminal [`HlhK`] and flushed as soon as it is done, so the level's
+/// `HLH_k` never exists as a whole.
+#[derive(Debug, Default)]
+struct StreamedLevel {
+    /// Frequent patterns with support and seasons, in emission order.
+    patterns: Vec<MinedPattern>,
+    /// Combinations that kept at least one candidate pattern (each is one
+    /// k-group).
+    candidate_groups: usize,
+    /// Candidate patterns that passed the `maxSeason` gate.
+    candidate_patterns: usize,
+    /// Largest footprint the per-combination structure reached.
+    peak_footprint: usize,
+}
+
+impl StreamedLevel {
+    /// Flushes one finished combination: applies the `maxSeason` candidate
+    /// gate (under Apriori pruning), counts its group and candidate
+    /// patterns, emits its frequent patterns and empties `combination` for
+    /// the next one.
+    fn flush(&mut self, combination: &mut HlhK, config: &ResolvedConfig) {
+        if combination.is_empty() {
+            return;
+        }
+        crate::invariants::debug_validate!(combination.validate());
+        self.peak_footprint = self.peak_footprint.max(combination.footprint_bytes());
+        let apriori = config.pruning.apriori_enabled();
+        let mut kept = 0usize;
+        for entry in combination.patterns() {
+            if apriori && !config.is_candidate(entry.support.len()) {
+                continue;
+            }
+            kept += 1;
+            emit_if_frequent(entry, config, &mut self.patterns);
+        }
+        combination.clear();
+        self.candidate_patterns += kept;
+        self.candidate_groups += usize::from(kept > 0);
+    }
+
+    /// Appends the output of the next shard.
+    fn append(&mut self, shard: StreamedLevel) {
+        self.patterns.extend(shard.patterns);
+        self.candidate_groups += shard.candidate_groups;
+        self.candidate_patterns += shard.candidate_patterns;
+        self.peak_footprint = self.peak_footprint.max(shard.peak_footprint);
+    }
+}
+
+/// Reports `entry` into `out` with its seasons when it is a frequent
+/// seasonal pattern, and returns whether it was. The frequency check is
+/// allocation-free and exits early; seasons are materialised only for the
+/// survivors. The report gets fresh copies of the pattern and support:
+/// buffers moved out of a per-combination structure would stay pinned
+/// among the short-lived allocations they were made with, leaving heap
+/// holes that raise the peak RSS of whatever the process allocates next.
+fn emit_if_frequent(
+    entry: &PatternEntry,
+    config: &ResolvedConfig,
+    out: &mut Vec<MinedPattern>,
+) -> bool {
+    if !support_is_frequent(&entry.support, config) {
+        return false;
+    }
+    out.push(MinedPattern::new(
+        entry.pattern.clone(),
+        entry.support.clone(),
+        find_seasons(&entry.support, config),
+    ));
+    true
 }
 
 /// The exact seasonal temporal pattern mining engine (E-STPM).
@@ -220,8 +350,9 @@ impl ExactRun<'_> {
 
         // -------- Step 2.2: frequent seasonal k-event patterns --------
         // Only HLH_2 (transitivity lookups) and HLH_{k-1} (bindings to
-        // extend) are ever read again, so only those stay alive; the peak
-        // footprint tracks the live structures of each level.
+        // extend) are ever read again, so only those stay alive, and the
+        // last level is streamed; the peak footprint tracks the live
+        // structures of each level.
         let pattern_start = Instant::now();
         let f1: &[EventLabel] = hlh1.labels();
         let hlh1_footprint = hlh1.footprint_bytes();
@@ -233,10 +364,11 @@ impl ExactRun<'_> {
         let mut peak_footprint = hlh1_footprint;
 
         for k in 2..=self.config.max_pattern_len {
-            // The last level is never extended: mine it without a binding
-            // pool (and, at level 2, without the verdict table).
+            // The last level is never extended: stream it one combination
+            // at a time, without a binding pool (and, at level 2, without
+            // the verdict table).
             let terminal = k == self.config.max_pattern_len;
-            let (mut hlhk, counters) = match (k, &hlh2, &prev) {
+            let (output, counters) = match (k, &hlh2, &prev) {
                 (2, _, _) => self.mine_pairs(&hlh1, f1, terminal),
                 (3, Some(h2), _) => {
                     self.mine_k_events(&hlh1, f1, h2, h2, k, adjacency.as_ref(), terminal)
@@ -246,30 +378,46 @@ impl ExactRun<'_> {
                 }
                 _ => unreachable!("levels are mined in increasing k"),
             };
-            if apriori {
-                hlhk.retain_candidates(&self.config);
-            }
-            crate::invariants::debug_validate!(hlhk.validate());
-            if k == 2 && !terminal && self.config.pruning.transitivity_enabled() {
-                // Built after retain_candidates so the bit matrix matches
-                // exactly what has_relation_between would answer at k >= 3.
-                adjacency = Some(RelationAdjacency::build(&hlhk, f1));
-            }
-
-            let mut frequent = 0usize;
-            for entry in hlhk.patterns() {
-                // Allocation-free early-exit frequency check; seasons are
-                // materialised only for the survivors.
-                if support_is_frequent(&entry.support, &self.config) {
-                    frequent += 1;
-                    patterns_out.push(MinedPattern::new(
-                        entry.pattern.clone(),
-                        entry.support.clone(),
-                        find_seasons(&entry.support, &self.config),
-                    ));
-                }
-            }
-            let level_footprint = hlhk.footprint_bytes();
+            let (candidate_groups, candidate_patterns, frequent, level_footprint, next) =
+                match output {
+                    LevelOutput::Streamed(level) => {
+                        let frequent = level.patterns.len();
+                        patterns_out.extend(level.patterns);
+                        (
+                            level.candidate_groups,
+                            level.candidate_patterns,
+                            frequent,
+                            level.peak_footprint,
+                            None,
+                        )
+                    }
+                    LevelOutput::Materialised(mut hlhk) => {
+                        if apriori {
+                            hlhk.retain_candidates(&self.config);
+                        }
+                        crate::invariants::debug_validate!(hlhk.validate());
+                        if k == 2 && self.config.pruning.transitivity_enabled() {
+                            // Built after retain_candidates so the bit matrix
+                            // matches exactly what has_relation_between would
+                            // answer at k >= 3.
+                            adjacency = Some(RelationAdjacency::build(&hlhk, f1));
+                        }
+                        let mut frequent = 0usize;
+                        for entry in hlhk.patterns() {
+                            if emit_if_frequent(entry, &self.config, &mut patterns_out) {
+                                frequent += 1;
+                            }
+                        }
+                        let footprint = hlhk.footprint_bytes();
+                        (
+                            hlhk.num_groups(),
+                            hlhk.num_patterns(),
+                            frequent,
+                            footprint,
+                            Some(hlhk),
+                        )
+                    }
+                };
             let live_footprint = hlh1_footprint
                 + adjacency
                     .as_ref()
@@ -280,13 +428,16 @@ impl ExactRun<'_> {
             peak_footprint = peak_footprint.max(live_footprint);
             level_stats.push(LevelStats {
                 k,
-                candidate_groups: hlhk.num_groups(),
-                candidate_patterns: hlhk.num_patterns(),
+                candidate_groups,
+                candidate_patterns,
                 frequent_patterns: frequent,
                 footprint_bytes: level_footprint,
                 classifier_calls_saved: counters.classifier_calls_saved,
                 adjacency_pruned_candidates: counters.adjacency_pruned_candidates,
             });
+            let Some(hlhk) = next else {
+                break; // the streamed terminal level
+            };
             let empty = hlhk.is_empty();
             if k == 2 {
                 hlh2 = Some(hlhk);
@@ -314,7 +465,7 @@ impl ExactRun<'_> {
     }
 
     /// Shards level-mining work across the configured worker threads and
-    /// merges the per-shard levels in shard order. `shard_ranges` cuts
+    /// merges the per-shard outputs in shard order. `shard_ranges` cuts
     /// `0..num_items` into at most `threads` *contiguous* ranges of roughly
     /// equal estimated cost (evaluated only when actually sharding, so the
     /// sequential path pays nothing for it); contiguity is what lets the
@@ -327,10 +478,10 @@ impl ExactRun<'_> {
         num_items: usize,
         shard_ranges: C,
         mine_chunk: F,
-    ) -> (HlhK, LevelCounters)
+    ) -> (LevelOutput, LevelCounters)
     where
         C: FnOnce(usize) -> Vec<Range<usize>>,
-        F: Fn(Range<usize>) -> (HlhK, LevelCounters) + Sync,
+        F: Fn(Range<usize>) -> (LevelOutput, LevelCounters) + Sync,
     {
         let threads = self.config.threads.min(num_items).max(1);
         if threads == 1 {
@@ -339,7 +490,7 @@ impl ExactRun<'_> {
         let ranges = shard_ranges(threads);
         debug_assert_eq!(ranges.first().map(|r| r.start), Some(0));
         debug_assert_eq!(ranges.last().map(|r| r.end), Some(num_items));
-        let results: Vec<(HlhK, LevelCounters)> = std::thread::scope(|scope| {
+        let results: Vec<(LevelOutput, LevelCounters)> = std::thread::scope(|scope| {
             let mine_chunk = &mine_chunk;
             let handles: Vec<_> = ranges
                 .into_iter()
@@ -354,14 +505,14 @@ impl ExactRun<'_> {
                 .collect()
         });
         let mut counters = LevelCounters::default();
-        let shards: Vec<HlhK> = results
+        let shards: Vec<LevelOutput> = results
             .into_iter()
             .map(|(shard, shard_counters)| {
                 counters.merge(shard_counters);
                 shard
             })
             .collect();
-        (HlhK::merge_shards(k, shards), counters)
+        (LevelOutput::merge_shards(k, shards), counters)
     }
 
     /// Mines candidate 2-event groups and patterns (Section IV-D, 4.2.1),
@@ -372,8 +523,14 @@ impl ExactRun<'_> {
     ///
     /// Unless the level is `terminal`, every classification verdict is also
     /// recorded into the level's [`VerdictTable`](crate::hlh::VerdictTable)
-    /// so the k ≥ 3 loop can look relations up instead of re-classifying.
-    fn mine_pairs(&self, hlh1: &Hlh1, f1: &[EventLabel], terminal: bool) -> (HlhK, LevelCounters) {
+    /// so the k ≥ 3 loop can look relations up instead of re-classifying;
+    /// a `terminal` level is streamed one pair at a time.
+    fn mine_pairs(
+        &self,
+        hlh1: &Hlh1,
+        f1: &[EventLabel],
+        terminal: bool,
+    ) -> (LevelOutput, LevelCounters) {
         let n = f1.len();
         let num_pairs = n * n.saturating_sub(1) / 2;
         // A pair's work is bounded by its support intersection, which is at
@@ -401,9 +558,10 @@ impl ExactRun<'_> {
         })
     }
 
-    /// Mines one shard of the candidate pair space into a local `HLH_2`.
-    /// A group is registered lazily, on its first candidate pattern: a pair
-    /// whose instances never classify into a relation contributes no
+    /// Mines one shard of the candidate pair space into a local `HLH_2`, or,
+    /// when `terminal`, into one per-pair structure flushed after every
+    /// pair. A group is registered lazily, on its first candidate pattern: a
+    /// pair whose instances never classify into a relation contributes no
     /// candidates and must not inflate the level's group count.
     ///
     /// The loop is allocation-free per occurrence: the support intersection
@@ -422,7 +580,7 @@ impl ExactRun<'_> {
         f1: &[EventLabel],
         range: Range<usize>,
         terminal: bool,
-    ) -> (HlhK, LevelCounters) {
+    ) -> (LevelOutput, LevelCounters) {
         let apriori = self.config.pruning.apriori_enabled();
         let record_verdicts = !terminal;
         let mut hlh2 = if terminal {
@@ -430,6 +588,7 @@ impl ExactRun<'_> {
         } else {
             HlhK::new(2)
         };
+        let mut streamed = terminal.then(StreamedLevel::default);
         let mut scratch = Scratch::default();
         for (ei, ej) in pair_range(f1, range) {
             let entry_i = hlh1.entry(ei).expect("f1 labels come from HLH_1");
@@ -497,16 +656,20 @@ impl ExactRun<'_> {
                     }
                 }
             }
+            if let Some(out) = &mut streamed {
+                out.flush(&mut hlh2, &self.config);
+            }
         }
-        (hlh2, LevelCounters::default())
+        (LevelOutput::of(hlh2, streamed), LevelCounters::default())
     }
 
     /// Mines candidate k-event groups and patterns for k ≥ 3
     /// (Section IV-D, 4.2.2): each candidate (k-1)-group of `prev` is
     /// extended with a single event, relations with the new event are
     /// verified on the stored instance bindings, and the resulting candidate
-    /// k-patterns are collected into a fresh `HLH_k`. The (k-1)-group list
-    /// is sharded across the configured threads.
+    /// k-patterns are collected into a fresh `HLH_k` — or, for a `terminal`
+    /// level, streamed one (group, `E_k`) combination at a time. The
+    /// (k-1)-group list is sharded across the configured threads.
     ///
     /// With transitivity pruning on, `adjacency` must carry the level-2
     /// relation matrix: the extension events of a group are then enumerated
@@ -523,7 +686,7 @@ impl ExactRun<'_> {
         k: usize,
         adjacency: Option<&RelationAdjacency>,
         terminal: bool,
-    ) -> (HlhK, LevelCounters) {
+    ) -> (LevelOutput, LevelCounters) {
         let transitivity = self.config.pruning.transitivity_enabled();
         debug_assert_eq!(
             transitivity,
@@ -589,7 +752,9 @@ impl ExactRun<'_> {
         })
     }
 
-    /// Mines one shard of the (k-1)-group list into a local `HLH_k`.
+    /// Mines one shard of the (k-1)-group list into a local `HLH_k`, or,
+    /// when `terminal`, into one per-combination structure flushed after
+    /// every (group, `E_k`) combination.
     ///
     /// Like the pair miner, the extension loop performs no per-occurrence
     /// allocation: the group/extendable intersections reuse the shard's
@@ -619,7 +784,7 @@ impl ExactRun<'_> {
         k: usize,
         groups: &[&GroupEntry],
         terminal: bool,
-    ) -> (HlhK, LevelCounters) {
+    ) -> (LevelOutput, LevelCounters) {
         let apriori = self.config.pruning.apriori_enabled();
         let new_index = u8::try_from(k - 1).expect("pattern length fits u8");
         let verdicts = hlh2.verdict_table();
@@ -628,6 +793,7 @@ impl ExactRun<'_> {
         } else {
             HlhK::new(k)
         };
+        let mut streamed = terminal.then(StreamedLevel::default);
         let mut counters = LevelCounters::default();
         let mut scratch = Scratch::default();
         let kernels = crate::simd::kernels();
@@ -843,9 +1009,12 @@ impl ExactRun<'_> {
                         }
                     }
                 }
+                if let Some(out) = &mut streamed {
+                    out.flush(&mut hlhk, &self.config);
+                }
             }
         }
-        (hlhk, counters)
+        (LevelOutput::of(hlhk, streamed), counters)
     }
 
     /// The closed-form relation classification of one (binding-member,

@@ -95,11 +95,16 @@ pub struct LevelStats {
     pub k: usize,
     /// Number of candidate k-event groups examined.
     pub candidate_groups: usize,
-    /// Number of candidate k-event patterns kept in `HLH_k`.
+    /// Number of candidate k-event patterns kept in `HLH_k` (for the
+    /// streamed last level: that passed the `maxSeason` gate).
     pub candidate_patterns: usize,
     /// Number of frequent seasonal k-event patterns found.
     pub frequent_patterns: usize,
-    /// Approximate bytes held by `HLH_k` at the end of the level.
+    /// Approximate bytes held by `HLH_k` at the end of the level. The last
+    /// level of a run is streamed one (k−1)-group × `E_k` combination at a
+    /// time (one level-2 pair at k = 2) and never held whole; its
+    /// footprint is the peak of its per-combination structure, the largest
+    /// any single combination reached.
     pub footprint_bytes: usize,
     /// `classify_relation` calls this level avoided by looking the verdict
     /// up in the level-2 verdict table instead (always 0 at k = 2, where the

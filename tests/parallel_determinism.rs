@@ -86,6 +86,8 @@ fn parallel_equals_sequential_on_the_paper_example() {
 #[test]
 #[cfg_attr(miri, ignore)] // interpreter-slow: multi-thread mining runs
 fn parallel_equals_sequential_on_seeded_random_databases() {
+    // Each max_pattern_len streams a different terminal level (k = 2, 3, 4)
+    // across the shards, over many groups.
     for seed in [7, 42, 1234] {
         let spec = DatasetSpec::real(DatasetProfile::RenewableEnergy)
             .scaled_to(6, 240)
@@ -93,29 +95,34 @@ fn parallel_equals_sequential_on_seeded_random_databases() {
         let data = generate(&spec);
         let dseq = data.dseq().expect("generated data maps to sequences");
         let input = MiningInput::new(&data.dsyb, &dseq, data.mapping_factor);
-        let config = StpmConfig {
-            max_period: Threshold::Fraction(0.02),
-            min_density: Threshold::Fraction(0.01),
-            dist_interval: DatasetProfile::RenewableEnergy.dist_interval(),
-            min_season: 2,
-            max_pattern_len: 3,
-            ..StpmConfig::default()
-        };
-        let sequential = StpmMiner.mine_with(&input, &config).unwrap();
-        for threads in [2, 4] {
-            let parallel = StpmMiner
-                .mine_with(&input, &config.clone().with_threads(threads))
-                .unwrap();
-            assert_eq!(
-                parallel.pattern_set(),
-                sequential.pattern_set(),
-                "pattern sets diverged with {threads} threads on seed {seed}"
-            );
-            assert_identical(
-                sequential.report(),
-                parallel.report(),
-                &format!("seed {seed}, {threads} threads"),
-            );
+        for max_pattern_len in [2, 3, 4] {
+            let config = StpmConfig {
+                max_period: Threshold::Fraction(0.02),
+                min_density: Threshold::Fraction(0.01),
+                dist_interval: DatasetProfile::RenewableEnergy.dist_interval(),
+                min_season: 2,
+                max_pattern_len,
+                ..StpmConfig::default()
+            };
+            let sequential = StpmMiner.mine_with(&input, &config).unwrap();
+            for threads in [2, 4] {
+                let parallel = StpmMiner
+                    .mine_with(&input, &config.clone().with_threads(threads))
+                    .unwrap();
+                let context =
+                    format!("seed {seed}, max_pattern_len {max_pattern_len}, {threads} threads");
+                assert_eq!(
+                    parallel.pattern_set(),
+                    sequential.pattern_set(),
+                    "pattern sets diverged: {context}"
+                );
+                assert_identical(sequential.report(), parallel.report(), &context);
+                assert_eq!(
+                    parallel.stats().peak_footprint_bytes,
+                    sequential.stats().peak_footprint_bytes,
+                    "peak footprint diverged: {context}"
+                );
+            }
         }
     }
 }
