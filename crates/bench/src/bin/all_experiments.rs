@@ -71,13 +71,6 @@ fn main() {
     for t in threads::tables(&threads::collect(&all, &s)) {
         t.print();
     }
-    println!("### Kernel throughput (scalar vs detected SIMD tiers) ###");
-    let kernel_scale = if s.quick_grid {
-        kernels::KernelScale::quick()
-    } else {
-        kernels::KernelScale::full()
-    };
-    kernels::table(&kernels::collect(&kernel_scale)).print();
     println!("### Single-threaded scaling (events / granules axes) ###");
     for t in scaling::tables(&scaling::collect(DatasetProfile::RenewableEnergy, &s)) {
         t.print();

@@ -403,6 +403,18 @@ impl RelationAdjacency {
     }
 }
 
+/// Whether any byte of a verdict block encodes a relation (is not
+/// [`VERDICT_NONE`](crate::relation::VERDICT_NONE)). The one block scan
+/// shared by [`PairVerdicts::block_has_relation`], the batch miner's k ≥ 3
+/// veto and the streaming miner's granule-local adjacency.
+#[must_use]
+// lint: hot-path
+pub(crate) fn verdict_any(block: &[u8]) -> bool {
+    block
+        .iter()
+        .any(|&verdict| verdict != crate::relation::VERDICT_NONE)
+}
+
 /// CSR side table of the level-2 relation verdicts: for every processed
 /// candidate pair, for every shared granule, the packed
 /// [`encode_verdict`](crate::relation::encode_verdict) byte of every instance
@@ -556,14 +568,11 @@ impl<'a> PairVerdicts<'a> {
     /// when at least one cell holds a relation verdict, `Some(false)` when
     /// the whole cross-product classified to no relation (so no candidate
     /// binding through this pair can extend at the granule), `None` when
-    /// the granule was not processed for this pair. The scan runs through
-    /// the dispatched [`crate::simd`] byte-scan kernel (32 cells per
-    /// compare on AVX2).
+    /// the granule was not processed for this pair.
     #[must_use]
     // lint: hot-path
     pub fn block_has_relation(&self, granule: GranulePos) -> Option<bool> {
-        self.block(granule)
-            .map(|block| crate::simd::kernels().verdict_any(block))
+        self.block(granule).map(verdict_any)
     }
 }
 
@@ -1654,5 +1663,18 @@ mod tests {
         let mut shard2 = HlhK::new(2);
         shard2.insert_group(group, vec![1]);
         let _ = HlhK::merge_shards(2, vec![shard1, shard2]);
+    }
+
+    #[test]
+    fn verdict_scan_finds_one_relation_byte_at_every_offset() {
+        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64] {
+            let mut block = vec![crate::relation::VERDICT_NONE; len];
+            assert!(!verdict_any(&block), "len {len}");
+            for hot in 0..len {
+                block[hot] = 3;
+                assert!(verdict_any(&block), "len {len} hot {hot}");
+                block[hot] = crate::relation::VERDICT_NONE;
+            }
+        }
     }
 }

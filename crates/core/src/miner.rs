@@ -82,7 +82,8 @@ use crate::config::{ResolvedConfig, StpmConfig};
 use crate::engine::{phases, EngineReport, MiningEngine, MiningInput, PhaseTiming, PruningSummary};
 use crate::error::Result;
 use crate::hlh::{
-    EventEntry, GroupEntry, GroupId, Hlh1, HlhK, PairVerdicts, PatternEntry, RelationAdjacency,
+    verdict_any, EventEntry, GroupEntry, GroupId, Hlh1, HlhK, PairVerdicts, PatternEntry,
+    RelationAdjacency,
 };
 use crate::pattern::{encode_label, encode_triple, RelationTriple, TemporalPattern};
 use crate::relation::{
@@ -796,7 +797,6 @@ impl ExactRun<'_> {
         let mut streamed = terminal.then(StreamedLevel::default);
         let mut counters = LevelCounters::default();
         let mut scratch = Scratch::default();
-        let kernels = crate::simd::kernels();
         // Chunk-lived buffers of borrowed data (they hold references into
         // the adjacency matrix, HLH_1 and the verdict table, so they cannot
         // live in the owned `Scratch`); all reuse their capacity across
@@ -824,11 +824,9 @@ impl ExactRun<'_> {
                     let id = adj.index_of(member).expect("group events are candidates");
                     member_rows.push(adj.row(id));
                 }
+                member_rows.extend(filtered_mask);
                 let Scratch { row, ext, .. } = &mut scratch;
                 intersect_rows_into(row, &member_rows);
-                if let Some(mask) = filtered_mask {
-                    kernels.and_words(row, mask);
-                }
                 let last_id = adj.index_of(last).expect("group events are candidates");
                 ext.extend(iter_set_bits(row, last_id + 1).map(|id| adj.label(id)));
                 let naive = filtered_f1.len() - filtered_f1.partition_point(|&e| e <= last);
@@ -911,14 +909,14 @@ impl ExactRun<'_> {
                         }
                         // A member whose verdict block holds no relation at
                         // all at this granule vetoes every binding × E_k
-                        // instance below — one wide byte scan per block
-                        // (the dispatched kernel) decides before any
-                        // binding is enumerated. Uncovered members
-                        // (`None`) fall back to the classifier and cannot
-                        // be skipped.
-                        if member_blocks.iter().any(
-                            |blk| matches!(blk, Some((block, _)) if !kernels.verdict_any(block)),
-                        ) {
+                        // instance below — one byte scan per block decides
+                        // before any binding is enumerated. Uncovered
+                        // members (`None`) fall back to the classifier and
+                        // cannot be skipped.
+                        if member_blocks
+                            .iter()
+                            .any(|blk| matches!(blk, Some((block, _)) if !verdict_any(block)))
+                        {
                             continue;
                         }
                         for &bid in pattern_entry.binding_ids_at_index(scratch.pos_a[m] as usize) {

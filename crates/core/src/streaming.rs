@@ -62,6 +62,7 @@ use crate::config::{ResolvedConfig, StpmConfig};
 use crate::engine::{phases, EngineReport, PhaseTiming, PruningSummary};
 use crate::error::{Error, Result};
 use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::hlh::verdict_any;
 use crate::miner::balanced_ranges;
 use crate::pattern::{decode_pattern_key, encode_label, encode_triple, RelationTriple};
 use crate::relation::{
@@ -282,10 +283,9 @@ fn mine_granule(seq: &TemporalSequence, config: &ResolvedConfig) -> GranuleHarve
                 }
             }
             if record_verdicts {
-                // The granule-local adjacency bit is one wide byte scan of
-                // the finished block (dispatched kernel), replacing the
-                // per-cell flag accumulation.
-                related[i * n + j] = crate::simd::kernels().verdict_any(&block);
+                // The granule-local adjacency bit is one byte scan of the
+                // finished block, replacing the per-cell flag accumulation.
+                related[i * n + j] = verdict_any(&block);
                 blocks[i * n + j] = block;
             }
         }

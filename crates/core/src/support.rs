@@ -40,7 +40,7 @@ fn gallop(haystack: &[GranulePos], lo: usize, target: GranulePos) -> usize {
 
 /// Whether the size skew between two sets puts the intersection in the
 /// galloping regime (walk the short side, exponential-probe the long one)
-/// rather than the linear-merge regime the SIMD kernels cover.
+/// rather than the linear-merge regime.
 #[inline]
 fn gallop_regime(a: &[GranulePos], b: &[GranulePos]) -> bool {
     let (short, long) = if a.len() <= b.len() {
@@ -53,10 +53,8 @@ fn gallop_regime(a: &[GranulePos], b: &[GranulePos]) -> bool {
 
 /// The galloping intersection core both public variants monomorphize over:
 /// reports every common value through `on_match(value, pos_in_a, pos_in_b)`.
-/// Only called in the [`gallop_regime`]; the balanced linear-merge regime
-/// goes through the [`crate::simd`] kernel dispatch instead, so this path
-/// stays scalar by design (galloping is branch-and-probe bound, with no
-/// profitable vector form).
+/// Only called in the [`gallop_regime`]; the balanced regime runs
+/// [`merge_positions`] instead.
 // lint: hot-path
 #[inline]
 fn intersect_gallop<F: FnMut(GranulePos, usize, usize)>(
@@ -92,20 +90,42 @@ pub fn intersect(a: &[GranulePos], b: &[GranulePos]) -> SupportSet {
     out
 }
 
+/// Linear-merge intersection of two strictly increasing sets: reports every
+/// common value through `on_match(value, pos_in_a, pos_in_b)`. The balanced
+/// counterpart of [`intersect_gallop`].
+// lint: hot-path
+#[inline]
+fn merge_positions<F: FnMut(GranulePos, usize, usize)>(
+    a: &[GranulePos],
+    b: &[GranulePos],
+    mut on_match: F,
+) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                on_match(a[i], i, j);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+}
+
 /// Intersects two sorted support sets into `out`, clearing it first — the
 /// allocation-free form the miner threads its per-shard scratch buffers
 /// through. When one side is at least `GALLOP_RATIO` (32) times longer than
 /// the other, the shorter side is walked and the longer side is advanced by
-/// galloping; otherwise the linear merge runs through the process-wide
-/// [`crate::simd`] kernel dispatch (AVX2 4×4 block compare where detected,
-/// scalar twin otherwise — byte-identical output either way).
+/// galloping; otherwise the two sides are merged linearly.
 // lint: hot-path
 pub fn intersect_into(out: &mut SupportSet, a: &[GranulePos], b: &[GranulePos]) {
     out.clear();
     if gallop_regime(a, b) {
         intersect_gallop(a, b, |x, _, _| out.push(x));
     } else {
-        crate::simd::kernels().intersect(a, b, out);
+        merge_positions(a, b, |x, _, _| out.push(x));
     }
 }
 
@@ -115,8 +135,10 @@ pub fn intersect_into(out: &mut SupportSet, a: &[GranulePos], b: &[GranulePos]) 
 /// let the miner reach granule-aligned side data (instance slices in
 /// `HLH_1`, binding slices in `HLH_k`) with plain offset lookups instead of
 /// one binary search per matched granule. Galloping kicks in on skewed
-/// sizes exactly as in [`intersect_into`]; the balanced regime dispatches
-/// to the [`crate::simd`] kernels.
+/// sizes exactly as in [`intersect_into`].
+///
+/// # Panics
+/// Panics when a matched position does not fit `u32`.
 // lint: hot-path
 pub fn intersect_positions_into(
     a: &[GranulePos],
@@ -128,14 +150,15 @@ pub fn intersect_positions_into(
     out.clear();
     pos_a.clear();
     pos_b.clear();
+    let on_match = |x, i: usize, j: usize| {
+        out.push(x);
+        pos_a.push(u32::try_from(i).expect("support position fits u32"));
+        pos_b.push(u32::try_from(j).expect("support position fits u32"));
+    };
     if gallop_regime(a, b) {
-        intersect_gallop(a, b, |x, i, j| {
-            out.push(x);
-            pos_a.push(u32::try_from(i).expect("support position fits u32"));
-            pos_b.push(u32::try_from(j).expect("support position fits u32"));
-        });
+        intersect_gallop(a, b, on_match);
     } else {
-        crate::simd::kernels().intersect_positions(a, b, out, pos_a, pos_b);
+        merge_positions(a, b, on_match);
     }
 }
 
@@ -199,10 +222,11 @@ pub fn intersect_rows_into(out: &mut Vec<u64>, rows: &[&[u64]]) {
         return;
     };
     out.extend_from_slice(first);
-    let kernels = crate::simd::kernels();
     for row in rest {
         debug_assert_eq!(row.len(), out.len(), "bitset rows must share a length");
-        kernels.and_words(out, row);
+        for (acc, &word) in out.iter_mut().zip(row.iter()) {
+            *acc &= word;
+        }
     }
 }
 
@@ -344,6 +368,40 @@ mod tests {
         let c = [0u64, 0b101u64];
         assert_eq!(iter_set_bits(&c, 64).collect::<Vec<_>>(), vec![64, 66]);
         assert_eq!(iter_set_bits(&c, 65).collect::<Vec<_>>(), vec![66]);
+        // Against a naive word-by-word AND: edge row lengths (empty, single,
+        // each side of every power of two up to 64 words) in three shapes —
+        // all-match rows, no-match rows and random words from a fixed
+        // xorshift stream.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64] {
+            for shape in 0..3 {
+                for n_rows in 1..=3 {
+                    let rows: Vec<Vec<u64>> = (0..n_rows)
+                        .map(|r| {
+                            (0..len)
+                                .map(|_| match shape {
+                                    0 => u64::MAX,
+                                    1 if r == n_rows - 1 => 0,
+                                    _ => next(),
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let expect: Vec<u64> = (0..len)
+                        .map(|w| rows.iter().fold(u64::MAX, |acc, row| acc & row[w]))
+                        .collect();
+                    let refs: Vec<&[u64]> = rows.iter().map(Vec::as_slice).collect();
+                    intersect_rows_into(&mut out, &refs);
+                    assert_eq!(out, expect, "len {len} shape {shape} rows {n_rows}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn main() -> ExitCode {
                      USAGE:\n  stpm-lint [--write-format-lock]\n\n\
                      Checks every crates/**/src/*.rs file against the project rules\n\
                      (hot-path-alloc, no-panic-decode, determinism, wire-format-freeze,\n\
-                     durable-io, unsafe-scope) and the snapshot wire format against\n\
+                     durable-io) and the snapshot wire format against\n\
                      snapshot_format.lock."
                 );
                 return ExitCode::SUCCESS;
@@ -59,7 +59,7 @@ fn main() -> ExitCode {
     if diags.is_empty() {
         println!(
             "stpm-lint: {} source files clean (hot-path-alloc, no-panic-decode, \
-             determinism, wire-format-freeze, durable-io, unsafe-scope)",
+             determinism, wire-format-freeze, durable-io)",
             stpm_lint::collect_sources(&root).len()
         );
         ExitCode::SUCCESS

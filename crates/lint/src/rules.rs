@@ -1,6 +1,6 @@
 //! The rule engine: project-invariant checks over the token stream.
 //!
-//! Six named rules are enforced (see the README "Correctness tooling"
+//! Five named rules are enforced (see the README "Correctness tooling"
 //! section for the policy):
 //!
 //! * `hot-path-alloc` — no allocating constructs inside functions marked
@@ -17,11 +17,6 @@
 //!   into place or truncated, and before a `checkpoint` acknowledges the
 //!   data as durable — or, in the service tier, before a `.send(…)` /
 //!   `.respond(…)` acknowledges it to a client.
-//! * `unsafe-scope` — the `unsafe` keyword is only permitted under
-//!   `crates/core/src/simd/` (the vectorized kernel twins, each with a
-//!   property-tested scalar reference). Everywhere else the pre-SIMD
-//!   `forbid(unsafe_code)` guarantee is enforced both by this rule and by
-//!   the workspace-level `deny(unsafe_code)` rustc lint.
 //!
 //! Any diagnostic can be suppressed with a justified
 //! `// lint:allow(rule): <why>` comment on the offending line or the line
@@ -47,9 +42,6 @@ const HOT_PATH_FILES: &[&str] = &[
     "season.rs",
     "miner.rs",
     "streaming.rs",
-    // The SIMD kernel twins: crates/core/src/simd/{scalar,x86}.rs.
-    "scalar.rs",
-    "x86.rs",
 ];
 
 /// Base names of the wire-format modules: `no-panic-decode` and the
@@ -75,14 +67,6 @@ const OUTPUT_MODULE_FILES: &[&str] = &[
 /// (`crates/service/src/{tenant,service}.rs`). As with hot-path markers,
 /// a marker elsewhere is reported so the list stays deliberate.
 const DURABLE_FILES: &[&str] = &["lib.rs", "tenant.rs", "service.rs"];
-
-/// The one path fragment under which the `unsafe` keyword is sanctioned:
-/// the SIMD kernel module, where every intrinsic path has a property-tested
-/// scalar twin and no `unsafe` escapes the module boundary (see the module
-/// doc of `stpm_core::simd`). The `unsafe-scope` rule flags `unsafe`
-/// anywhere else — a full-path check, not a base-name one, so a stray
-/// `x86.rs` elsewhere in the tree gets no exemption.
-const UNSAFE_SCOPE_DIR: &str = "crates/core/src/simd/";
 
 /// Function-name shapes that make a `snapshot.rs` function a *decode*
 /// function (it consumes untrusted bytes and must return typed errors).
@@ -461,7 +445,6 @@ impl<'a> Engine<'a> {
         let t = self.tokens;
         let wire_file = WIRE_FORMAT_FILES.contains(&self.base);
         let output_file = OUTPUT_MODULE_FILES.contains(&self.base);
-        let unsafe_sanctioned = self.file.replace('\\', "/").contains(UNSAFE_SCOPE_DIR);
 
         let mut stack: Vec<Scope> = Vec::new();
         let mut pending_fn: Option<FnFrame> = None;
@@ -512,19 +495,6 @@ impl<'a> Engine<'a> {
                 Scope::Function(f) => Some(f),
                 Scope::Block => None,
             });
-
-            // --- unsafe-scope: `unsafe` only under crates/core/src/simd/ ---
-            if !unsafe_sanctioned && tok.is_ident("unsafe") {
-                self.emit(
-                    &t[i],
-                    "unsafe-scope",
-                    format!(
-                        "`unsafe` outside `{UNSAFE_SCOPE_DIR}` — vectorized kernel twins \
-                         are the only sanctioned unsafe code; add a scalar-twinned kernel \
-                         there instead of widening the unsafe surface"
-                    ),
-                );
-            }
 
             // --- hot-path-alloc ---
             if frame.is_some_and(|f| f.hot) {

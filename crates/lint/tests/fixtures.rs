@@ -164,40 +164,6 @@ fn durable_marker_outside_registered_files_is_rejected() {
     );
 }
 
-#[test]
-fn unsafe_outside_simd_module_is_flagged() {
-    let source = include_str!("fixtures/fixture_unsafe_scope_fail.rs");
-    let diags = lint_source("crates/core/src/support.rs", source);
-    // Three `unsafe` tokens, one silenced by the justified suppression.
-    assert_eq!(diags.len(), 2, "{diags:?}");
-    assert!(diags.iter().all(|d| d.rule == "unsafe-scope"), "{diags:?}");
-    assert_eq!(diags[0].line, 5, "the `unsafe fn` qualifier is flagged");
-    assert_eq!(diags[1].line, 15, "the unsuppressed block is flagged");
-    assert!(
-        diags[0].message.contains("crates/core/src/simd/"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn unsafe_inside_simd_module_is_sanctioned() {
-    let source = include_str!("fixtures/fixture_unsafe_scope_pass.rs");
-    let diags = lint_source("crates/core/src/simd/x86.rs", source);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn unsafe_scope_is_a_path_check_not_a_base_name_check() {
-    // The same sanctioned source under a *different* directory named
-    // `x86.rs` must still be flagged: the exemption follows the full
-    // `crates/core/src/simd/` path, not the file's base name.
-    let source = include_str!("fixtures/fixture_unsafe_scope_pass.rs");
-    let diags = lint_source("crates/service/src/x86.rs", source);
-    assert_eq!(diags.len(), 2, "{diags:?}");
-    assert!(diags.iter().all(|d| d.rule == "unsafe-scope"), "{diags:?}");
-}
-
 // ---------------------------------------------------------------------------
 // wire-format-freeze: the lock round-trips, and every drift case resolves
 // the way the rule promises.

@@ -29,6 +29,8 @@
 //! pool, admission, eviction), `tenant` (internal: per-tenant residency +
 //! quarantine), [`server`]/[`client`] (TCP), [`stats`] (observability).
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod protocol;
 pub mod server;

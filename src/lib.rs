@@ -1433,45 +1433,6 @@ fn decode_pipeline_state(
     }))
 }
 
-/// Everything the legacy single-engine pipeline produced.
-#[derive(Debug, Clone)]
-pub struct MiningOutcome {
-    /// The symbolic database `D_SYB` built from the raw series.
-    pub dsyb: SymbolicDatabase,
-    /// The temporal sequence database `D_SEQ`.
-    pub dseq: SequenceDatabase,
-    /// The frequent seasonal events and patterns found by E-STPM.
-    pub report: MiningReport,
-}
-
-/// Runs the full FreqSTPfTS pipeline on raw time series with the exact miner.
-///
-/// # Errors
-/// Propagates validation errors from either phase.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Pipeline::builder().symbolizer(...).mapping_factor(...).thresholds(...).run(...)` \
-            — it supports all engines and returns the unified EngineReport"
-)]
-pub fn mine_seasonal_patterns<S: Symbolizer>(
-    series: &[TimeSeries],
-    symbolizer: &S,
-    mapping_factor: u64,
-    config: &StpmConfig,
-) -> Result<MiningOutcome, PipelineError> {
-    let dsyb =
-        SymbolicDatabase::from_series(series, symbolizer).map_err(PipelineError::Transform)?;
-    let dseq = dsyb
-        .to_sequence_database(mapping_factor)
-        .map_err(PipelineError::Transform)?;
-    let input = MiningInput::new(&dsyb, &dseq, mapping_factor);
-    let report = StpmMiner
-        .mine_with(&input, config)
-        .map_err(PipelineError::Mining)?
-        .into_report();
-    Ok(MiningOutcome { dsyb, dseq, report })
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -1740,20 +1701,6 @@ mod tests {
             .append(&[TimeSeries::new("Z", vec![1.0, 0.0])])
             .unwrap_err();
         assert!(matches!(err, PipelineError::Transform(_)));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrapper_still_mines() {
-        let outcome = super::mine_seasonal_patterns(
-            &sample_series(),
-            &ThresholdSymbolizer::binary(0.5, "0", "1"),
-            3,
-            &sample_config(),
-        )
-        .unwrap();
-        assert_eq!(outcome.dseq.num_granules(), 3);
-        assert!(outcome.report.total_patterns() > 0);
     }
 
     #[test]

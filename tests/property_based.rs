@@ -85,12 +85,56 @@ fn skewed_partner(rng: &mut SeededRng, long: &[u64]) -> Vec<u64> {
     set.into_iter().collect()
 }
 
+/// Strictly increasing set of exactly `len` elements with gap profile drawn
+/// from `rng`: dense (gap 1–2) half the time to force runs of matches,
+/// sparse otherwise.
+fn increasing_set(rng: &mut SeededRng, len: usize) -> Vec<u64> {
+    let dense = rng.next_below(2) == 0;
+    let mut next = rng.next_below(16);
+    let mut set = Vec::with_capacity(len);
+    for _ in 0..len {
+        set.push(next);
+        next += if dense {
+            1 + rng.next_below(2)
+        } else {
+            1 + rng.next_below(50)
+        };
+    }
+    set
+}
+
+/// Edge set lengths: empty, single, and each side of every power of two up
+/// to 64.
+const EDGE_LENS: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64];
+
 #[test]
 fn intersect_into_agrees_with_btreeset_reference() {
     // One reused output buffer across every case: stale contents from a
     // previous case must never leak into the next result.
     let mut out = Vec::new();
     let (mut pos_a, mut pos_b) = (Vec::new(), Vec::new());
+    let mut check = |a: &[u64], b: &[u64], case: &str| {
+        let expected: Vec<u64> = {
+            let sa: BTreeSet<u64> = a.iter().copied().collect();
+            let sb: BTreeSet<u64> = b.iter().copied().collect();
+            sa.intersection(&sb).copied().collect()
+        };
+        intersect_into(&mut out, a, b);
+        assert_eq!(out, expected, "{case}");
+        assert_eq!(out, intersect(a, b), "{case}");
+        // The indexed variant finds the same granules and records each
+        // match's position in both inputs.
+        intersect_positions_into(a, b, &mut out, &mut pos_a, &mut pos_b);
+        assert_eq!(out, expected, "{case}");
+        let positions = |set: &[u64]| -> Vec<u32> {
+            expected
+                .iter()
+                .map(|g| u32::try_from(set.binary_search(g).unwrap()).unwrap())
+                .collect()
+        };
+        assert_eq!(pos_a, positions(a), "{case}");
+        assert_eq!(pos_b, positions(b), "{case}");
+    };
     for seed in 0..CASES {
         let mut rng = SeededRng::seed_from_u64(seed);
         // Alternate between same-order-of-magnitude sets (linear merge) and
@@ -110,21 +154,27 @@ fn intersect_into_agrees_with_btreeset_reference() {
                 (short, long)
             }
         };
-        let expected: Vec<u64> = {
-            let sa: BTreeSet<u64> = a.iter().copied().collect();
-            let sb: BTreeSet<u64> = b.iter().copied().collect();
-            sa.intersection(&sb).copied().collect()
-        };
-        intersect_into(&mut out, &a, &b);
-        assert_eq!(out, expected, "seed {seed}");
-        assert_eq!(out, intersect(&a, &b), "seed {seed}");
-        // The indexed variant finds the same granules, and every recorded
-        // position points back at its match in both inputs.
-        intersect_positions_into(&a, &b, &mut out, &mut pos_a, &mut pos_b);
-        assert_eq!(out, expected, "seed {seed}");
-        for (m, &g) in out.iter().enumerate() {
-            assert_eq!(a[pos_a[m] as usize], g, "seed {seed}");
-            assert_eq!(b[pos_b[m] as usize], g, "seed {seed}");
+        check(&a, &b, &format!("seed {seed}"));
+        // Edge lengths on both sides, in four shapes: independent sets,
+        // sets sharing elements, all-match and no-match.
+        for &len_a in EDGE_LENS {
+            let len_b = EDGE_LENS[rng.next_below(EDGE_LENS.len() as u64) as usize];
+            let a = increasing_set(&mut rng, len_a);
+            let b = increasing_set(&mut rng, len_b);
+            let case = format!("seed {seed} lens {len_a}/{len_b}");
+            check(&a, &b, &case);
+            let mut shared: BTreeSet<u64> = b.iter().copied().collect();
+            if !a.is_empty() {
+                for _ in 0..len_b {
+                    shared.insert(a[rng.next_below(a.len() as u64) as usize]);
+                }
+            }
+            let shared: Vec<u64> = shared.into_iter().take(len_b).collect();
+            check(&a, &shared, &format!("{case} shared"));
+            check(&a, &a, &format!("{case} all-match"));
+            let evens: Vec<u64> = a.iter().map(|x| x * 2).collect();
+            let odds: Vec<u64> = b.iter().map(|x| x * 2 + 1).collect();
+            check(&evens, &odds, &format!("{case} no-match"));
         }
     }
 }
@@ -688,206 +738,4 @@ fn validators_reject_a_corrupted_tracker() {
         tracker.validate(&other, &config).is_err(),
         "tracker accepted a support it was never fed"
     );
-}
-
-// ---------------------------------------------------------------------------
-// SIMD kernel parity: every tier the host CPU supports (scalar, and on
-// x86_64 SSE2/AVX2 where detected) must be byte-identical to the scalar
-// reference on every kernel, over adversarial inputs — empty sets, single
-// elements, lane-straddling lengths, the galloping skew regime, and
-// all-match / no-match rows. These tests carry the `simd_` prefix so the CI
-// sanitizer smoke step can select exactly this suite.
-// ---------------------------------------------------------------------------
-
-use freqstpfts::core::simd;
-
-/// Strictly increasing set of exactly `len` elements with gap profile drawn
-/// from `rng`: dense (gap 1–2) half the time to force many vector-lane
-/// matches, sparse otherwise.
-fn increasing_set(rng: &mut SeededRng, len: usize) -> Vec<u64> {
-    let dense = rng.next_below(2) == 0;
-    let mut next = rng.next_below(16);
-    let mut set = Vec::with_capacity(len);
-    for _ in 0..len {
-        set.push(next);
-        let gap = if dense {
-            1 + rng.next_below(2)
-        } else {
-            1 + rng.next_below(50)
-        };
-        next += gap;
-    }
-    set
-}
-
-/// Lengths that straddle every vector-lane boundary the kernels use
-/// (2/4-wide u64 lanes, 16/32-wide byte lanes), plus empty and single.
-const LANE_STRADDLING_LENS: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64];
-
-#[test]
-fn simd_intersect_parity_across_tiers() {
-    let tiers = simd::tiers();
-    assert_eq!(tiers[0].name(), "scalar");
-    for seed in 0..CASES {
-        let mut rng = SeededRng::seed_from_u64(seed);
-        for &len_a in LANE_STRADDLING_LENS {
-            let len_b =
-                LANE_STRADDLING_LENS[rng.next_below(LANE_STRADDLING_LENS.len() as u64) as usize];
-            let a = increasing_set(&mut rng, len_a);
-            // Half the time, share a tail with `a` so matches actually occur.
-            let b = if rng.next_below(2) == 0 && !a.is_empty() {
-                let mut b: BTreeSet<u64> = increasing_set(&mut rng, len_b).into_iter().collect();
-                for _ in 0..len_b {
-                    b.insert(a[rng.next_below(a.len() as u64) as usize]);
-                }
-                b.into_iter().take(len_b).collect()
-            } else {
-                increasing_set(&mut rng, len_b)
-            };
-            let mut expect = Vec::new();
-            tiers[0].intersect(&a, &b, &mut expect);
-            let (mut evals, mut epa, mut epb) = (Vec::new(), Vec::new(), Vec::new());
-            tiers[0].intersect_positions(&a, &b, &mut evals, &mut epa, &mut epb);
-            assert_eq!(evals, expect, "seed {seed}: scalar variants disagree");
-            for tier in &tiers[1..] {
-                let mut got = Vec::new();
-                tier.intersect(&a, &b, &mut got);
-                assert_eq!(got, expect, "seed {seed} tier {}", tier.name());
-                let (mut vals, mut pa, mut pb) = (Vec::new(), Vec::new(), Vec::new());
-                tier.intersect_positions(&a, &b, &mut vals, &mut pa, &mut pb);
-                assert_eq!(vals, expect, "seed {seed} tier {}", tier.name());
-                assert_eq!(pa, epa, "seed {seed} tier {}", tier.name());
-                assert_eq!(pb, epb, "seed {seed} tier {}", tier.name());
-            }
-        }
-    }
-}
-
-#[test]
-fn simd_intersect_parity_in_the_galloping_skew_regime() {
-    // The public `intersect_into` keeps galloping scalar above the >= 32x
-    // skew ratio, but the kernels themselves must stay correct on skewed
-    // inputs too — CI runs this with and without STPM_FORCE_SCALAR=1.
-    let tiers = simd::tiers();
-    for seed in 0..CASES {
-        let mut rng = SeededRng::seed_from_u64(seed);
-        let long_len = 1 + rng.next_below(400) as usize * 2;
-        let long = increasing_set(&mut rng, long_len);
-        let short_len = (long.len() / 32).min(4);
-        let short = skewed_partner(&mut rng, &long);
-        let short: Vec<u64> = short.into_iter().take(short_len.max(1)).collect();
-        let mut expect = Vec::new();
-        tiers[0].intersect(&short, &long, &mut expect);
-        for tier in &tiers[1..] {
-            for (x, y) in [(&short, &long), (&long, &short)] {
-                let mut got = Vec::new();
-                tier.intersect(x, y, &mut got);
-                assert_eq!(got, expect, "seed {seed} tier {}", tier.name());
-            }
-        }
-        // And the public entry point (whatever its regime choice) agrees
-        // with the scalar kernel.
-        let mut via_public = Vec::new();
-        intersect_into(&mut via_public, &short, &long);
-        assert_eq!(via_public, expect, "seed {seed}");
-    }
-}
-
-#[test]
-fn simd_and_words_parity_across_tiers() {
-    let tiers = simd::tiers();
-    for seed in 0..CASES {
-        let mut rng = SeededRng::seed_from_u64(seed);
-        for &len in LANE_STRADDLING_LENS {
-            let mode = rng.next_below(3);
-            let acc_init: Vec<u64> = (0..len)
-                .map(|_| match mode {
-                    0 => u64::MAX, // all-match rows
-                    1 => 0,        // no-match rows
-                    _ => rng.next_below(u64::MAX),
-                })
-                .collect();
-            let row: Vec<u64> = (0..len)
-                .map(|_| match mode {
-                    0 => u64::MAX,
-                    1 => rng.next_below(u64::MAX),
-                    _ => rng.next_below(u64::MAX),
-                })
-                .collect();
-            let mut expect = acc_init.clone();
-            tiers[0].and_words(&mut expect, &row);
-            for tier in &tiers[1..] {
-                let mut got = acc_init.clone();
-                tier.and_words(&mut got, &row);
-                assert_eq!(got, expect, "seed {seed} len {len} tier {}", tier.name());
-            }
-        }
-    }
-}
-
-#[test]
-fn simd_verdict_scan_parity_across_tiers() {
-    let tiers = simd::tiers();
-    for &len in LANE_STRADDLING_LENS {
-        let zeros = vec![0u8; len];
-        for tier in &tiers {
-            assert!(!tier.verdict_any(&zeros), "len {len} tier {}", tier.name());
-        }
-        // A single relation byte at every offset must be found by every
-        // tier, wherever it lands relative to the 16/32-byte chunks.
-        let mut block = zeros;
-        for hot in 0..len {
-            block[hot] = 3;
-            for tier in &tiers {
-                assert!(
-                    tier.verdict_any(&block),
-                    "len {len} hot {hot} tier {}",
-                    tier.name()
-                );
-            }
-            block[hot] = 0;
-        }
-    }
-}
-
-#[test]
-fn simd_run_end_parity_across_tiers() {
-    let tiers = simd::tiers();
-    for seed in 0..CASES {
-        let mut rng = SeededRng::seed_from_u64(seed);
-        let len = 1 + rng.next_below(80) as usize;
-        let support = increasing_set(&mut rng, len);
-        let max_period = 1 + rng.next_below(40);
-        for start in 0..support.len() {
-            let expect = tiers[0].run_end(&support, start, max_period);
-            assert!(expect > start && expect <= support.len(), "seed {seed}");
-            for tier in &tiers[1..] {
-                assert_eq!(
-                    tier.run_end(&support, start, max_period),
-                    expect,
-                    "seed {seed} start {start} tier {}",
-                    tier.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn simd_force_scalar_selects_the_scalar_table() {
-    // The pure selection step must route to scalar when forced...
-    assert_eq!(simd::select(true).name(), "scalar");
-    // ...and the env-driven cached choice must agree with the cached env
-    // snapshot. In the STPM_FORCE_SCALAR=1 CI leg this pins the scalar
-    // route through the public entry point; in the default leg it pins
-    // detection.
-    assert_eq!(
-        simd::kernels().name(),
-        simd::select(simd::force_scalar_requested()).name()
-    );
-    if simd::force_scalar_requested() {
-        assert_eq!(simd::kernels().name(), "scalar");
-    } else {
-        assert_eq!(simd::kernels().name(), simd::detected().name());
-    }
 }
