@@ -23,6 +23,16 @@
 //! Trailing bytes after the last section are rejected. The CRC is the
 //! standard IEEE CRC-32 (polynomial `0xEDB88320`).
 //!
+//! A snapshot is encoded into **one buffer**: [`ByteWriter::section`] writes
+//! a section's tag and a placeholder length, runs the section's encoder
+//! straight into the same buffer, then backpatches the length and appends
+//! the CRC of the payload in place. Nested images (the facade embeds a
+//! whole miner snapshot as one of its sections) are framed the same way, so
+//! the transient memory of encoding a snapshot is one image plus the
+//! buffer's growth slack, never a copy per nesting level. Decoding borrows:
+//! [`StreamingMiner::decode_with`] reads a snapshot from a byte slice
+//! without copying it first.
+//!
 //! Derived state is *not* serialized: the per-level pattern index and group
 //! set are rebuilt from the interning keys, and the resolved configuration is
 //! re-resolved against the restored granule count. Wall-clock timing counters
@@ -227,6 +237,48 @@ impl ByteWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// Appends the 16-byte snapshot header (magic, version, `kind`).
+    pub fn header(&mut self, kind: u32) {
+        self.buf.extend_from_slice(&SNAPSHOT_MAGIC);
+        self.put_u32(SNAPSHOT_VERSION);
+        self.put_u32(kind);
+    }
+
+    /// Appends one framed section — `tag · len u64 · payload · crc32 u32` —
+    /// whose payload is whatever `body` writes. The body runs straight into
+    /// this buffer; the length is backpatched and the CRC taken over the
+    /// payload in place, so no section is ever built in a buffer of its own.
+    pub fn section(&mut self, tag: u32, body: impl FnOnce(&mut Self)) {
+        self.put_u32(tag);
+        let (at, len, crc) = self.framed(8, body);
+        self.patch(at, &len.to_le_bytes());
+        self.put_u32(crc);
+    }
+
+    /// Appends one WAL record — `len u64 · crc32 u32 · payload` — whose
+    /// payload is whatever `body` writes, framed in place like
+    /// [`ByteWriter::section`].
+    pub fn wal_record(&mut self, body: impl FnOnce(&mut Self)) {
+        let (at, len, crc) = self.framed(12, body);
+        self.patch(at, &len.to_le_bytes());
+        self.patch(at + 8, &crc.to_le_bytes());
+    }
+
+    /// Appends `reserved` zero bytes, then runs `body`; returns where the
+    /// reserved bytes start and the length and CRC of what `body` wrote.
+    fn framed(&mut self, reserved: usize, body: impl FnOnce(&mut Self)) -> (usize, u64, u32) {
+        let at = self.buf.len();
+        self.buf.resize(at + reserved, 0);
+        body(self);
+        let payload = &self.buf[at + reserved..];
+        (at, payload.len() as u64, crc32(payload))
+    }
+
+    /// Overwrites already written bytes at `at` (a reserved frame field).
+    fn patch(&mut self, at: usize, bytes: &[u8]) {
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
     /// The bytes written so far.
     #[must_use]
     pub fn bytes(&self) -> &[u8] {
@@ -355,13 +407,6 @@ fn capped(count: u32, remaining: usize, elem_size: usize) -> usize {
 // Header and section framing
 // ---------------------------------------------------------------------------
 
-/// Writes the 16-byte snapshot header (magic, version, kind) to `out`.
-pub fn write_header(out: &mut Vec<u8>, kind: u32) {
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-}
-
 /// Validates the snapshot header and returns the body after it.
 ///
 /// # Errors
@@ -393,14 +438,6 @@ pub fn parse_header(bytes: &[u8], expected_kind: u32) -> Result<&[u8]> {
         )));
     }
     Ok(r.rest())
-}
-
-/// Appends one framed section (`tag`, length, payload, CRC) to `out`.
-pub fn write_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
-    out.extend_from_slice(&tag.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// Reads the next framed section from `cursor`, checking its tag and CRC,
@@ -469,10 +506,9 @@ fn read_threshold(r: &mut ByteReader<'_>) -> Result<Threshold> {
     }
 }
 
-fn encode_config(config: &StpmConfig) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    write_threshold(&mut w, config.max_period);
-    write_threshold(&mut w, config.min_density);
+fn encode_config(w: &mut ByteWriter, config: &StpmConfig) {
+    write_threshold(w, config.max_period);
+    write_threshold(w, config.min_density);
     w.put_u64(config.dist_interval.0);
     w.put_u64(config.dist_interval.1);
     w.put_u64(config.min_season);
@@ -486,7 +522,6 @@ fn encode_config(config: &StpmConfig) -> Vec<u8> {
         PruningMode::All => 3,
     });
     w.put_u64(config.threads as u64);
-    w.into_bytes()
 }
 
 fn decode_config(payload: &[u8]) -> Result<StpmConfig> {
@@ -530,8 +565,7 @@ fn decode_config(payload: &[u8]) -> Result<StpmConfig> {
     Ok(config)
 }
 
-fn encode_registry(registry: &EventRegistry) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_registry(w: &mut ByteWriter, registry: &EventRegistry) {
     let num_series = u32::try_from(registry.num_series()).expect("series count fits u32");
     w.put_u32(num_series);
     for sid in 0..num_series {
@@ -543,7 +577,6 @@ fn encode_registry(registry: &EventRegistry) -> Vec<u8> {
             w.put_str(label);
         }
     }
-    w.into_bytes()
 }
 
 fn decode_registry(payload: &[u8]) -> Result<EventRegistry> {
@@ -693,7 +726,7 @@ fn read_tracker(r: &mut ByteReader<'_>, support_len: u32) -> Result<SeasonTracke
     })
 }
 
-fn encode_events(miner: &StreamingMiner) -> Vec<u8> {
+fn encode_events(w: &mut ByteWriter, miner: &StreamingMiner) {
     // The event map iterates in hash order; sort by packed label so snapshot
     // bytes are a pure function of the state.
     let mut entries: Vec<(u64, &StreamEventEntry)> = miner
@@ -702,14 +735,12 @@ fn encode_events(miner: &StreamingMiner) -> Vec<u8> {
         .map(|(label, entry)| (label.packed(), entry))
         .collect();
     entries.sort_unstable_by_key(|&(packed, _)| packed);
-    let mut w = ByteWriter::new();
     w.put_u32(u32::try_from(entries.len()).expect("event count fits u32"));
     for (packed, entry) in entries {
         w.put_u64(packed);
-        write_support(&mut w, &entry.support);
-        write_tracker(&mut w, &entry.tracker);
+        write_support(w, &entry.support);
+        write_tracker(w, &entry.tracker);
     }
-    w.into_bytes()
 }
 
 fn read_label(r: &ByteReader<'_>, word: u64, registry: &EventRegistry) -> Result<EventLabel> {
@@ -766,8 +797,7 @@ fn decode_events(
     Ok(events)
 }
 
-fn encode_level(level: &StreamLevel) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_level(w: &mut ByteWriter, level: &StreamLevel) {
     w.put_u64(level.k as u64);
     w.put_u32(u32::try_from(level.entries.len()).expect("patterns fit u32"));
     for entry in &level.entries {
@@ -776,10 +806,9 @@ fn encode_level(level: &StreamLevel) -> Vec<u8> {
         for word in encode_pattern_key(&entry.pattern) {
             w.put_u64(word);
         }
-        write_support(&mut w, &entry.support);
-        write_tracker(&mut w, &entry.tracker);
+        write_support(w, &entry.support);
+        write_tracker(w, &entry.tracker);
     }
-    w.into_bytes()
 }
 
 fn decode_level(
@@ -858,21 +887,28 @@ fn decode_level(
 // Whole-miner encode / decode
 // ---------------------------------------------------------------------------
 
-fn encode_miner(miner: &StreamingMiner, checkpoint_id: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_header(&mut out, KIND_MINER);
-    write_section(&mut out, SEC_CONFIG, &encode_config(&miner.config));
-    write_section(&mut out, SEC_REGISTRY, &encode_registry(&miner.registry));
-    let mut state = ByteWriter::new();
-    state.put_u64(miner.num_granules);
-    state.put_u64(miner.batches_absorbed);
-    state.put_u64(checkpoint_id);
-    write_section(&mut out, SEC_STATE, state.bytes());
-    write_section(&mut out, SEC_EVENTS, &encode_events(miner));
+fn encode_miner(w: &mut ByteWriter, miner: &StreamingMiner, checkpoint_id: u64) {
+    w.header(KIND_MINER);
+    w.section(SEC_CONFIG, |w| encode_config(w, &miner.config));
+    w.section(SEC_REGISTRY, |w| encode_registry(w, &miner.registry));
+    w.section(SEC_STATE, |w| {
+        w.put_u64(miner.num_granules);
+        w.put_u64(miner.batches_absorbed);
+        w.put_u64(checkpoint_id);
+    });
+    w.section(SEC_EVENTS, |w| encode_events(w, miner));
     for level in &miner.levels {
-        write_section(&mut out, SEC_LEVEL, &encode_level(level));
+        w.section(SEC_LEVEL, |w| encode_level(w, level));
     }
-    out
+}
+
+/// Reads `input` to its end: the I/O half of the `restore` entry points.
+fn read_all(input: &mut impl Read) -> Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    input
+        .read_to_end(&mut bytes)
+        .map_err(|e| Error::snapshot_io(&e))?;
+    Ok(bytes)
 }
 
 fn effective_config(stored: &StpmConfig, requested: Option<&StpmConfig>) -> Result<StpmConfig> {
@@ -1037,9 +1073,22 @@ impl StreamingMiner {
     /// verifiably reached durable storage; callers that write to fallible or
     /// non-durable sinks use this split so an I/O failure between the two
     /// calls leaves the checkpoint accounting untouched.
+    ///
+    /// The image is built in one buffer (see [`ByteWriter::section`]), so
+    /// encoding holds one image plus the buffer's growth slack.
     #[must_use]
     pub fn encode_snapshot(&self) -> Vec<u8> {
-        encode_miner(self, self.checkpoint_id + 1)
+        let mut w = ByteWriter::new();
+        self.encode_snapshot_to(&mut w);
+        w.into_bytes()
+    }
+
+    /// Appends the bytes [`StreamingMiner::encode_snapshot`] returns to `w`
+    /// — for a caller that embeds the miner image in a larger snapshot
+    /// (typically as the body of a [`ByteWriter::section`]) and wants the
+    /// whole snapshot built in its own buffer, without an intermediate copy.
+    pub fn encode_snapshot_to(&self, w: &mut ByteWriter) {
+        encode_miner(w, self, self.checkpoint_id + 1);
     }
 
     /// Commits the checkpoint bump of the most recent
@@ -1064,11 +1113,7 @@ impl StreamingMiner {
     /// bit-flipped or structurally invalid bytes (this function never
     /// panics on corrupt input).
     pub fn restore(input: &mut impl Read) -> Result<Self> {
-        let mut bytes = Vec::new();
-        input
-            .read_to_end(&mut bytes)
-            .map_err(|e| Error::snapshot_io(&e))?;
-        decode_miner(&bytes, None)
+        decode_miner(&read_all(input)?, None)
     }
 
     /// Restores a miner from a snapshot under a *requested* configuration
@@ -1081,11 +1126,18 @@ impl StreamingMiner {
     /// As [`StreamingMiner::restore`], plus
     /// [`Error::SnapshotConfigMismatch`] for an incompatible request.
     pub fn restore_with(config: &StpmConfig, input: &mut impl Read) -> Result<Self> {
-        let mut bytes = Vec::new();
-        input
-            .read_to_end(&mut bytes)
-            .map_err(|e| Error::snapshot_io(&e))?;
-        decode_miner(&bytes, Some(config))
+        Self::decode_with(config, &read_all(input)?)
+    }
+
+    /// [`StreamingMiner::restore_with`] from snapshot bytes already in
+    /// memory: decodes straight from the borrowed slice, so a caller holding
+    /// the image (or a larger snapshot embedding it as a section) does not
+    /// copy it first.
+    ///
+    /// # Errors
+    /// As [`StreamingMiner::restore_with`], without the I/O error.
+    pub fn decode_with(config: &StpmConfig, bytes: &[u8]) -> Result<Self> {
+        decode_miner(bytes, Some(config))
     }
 
     /// The miner's durable-state position: checkpoint id, granules absorbed,
@@ -1110,7 +1162,9 @@ impl StreamingMiner {
     /// unconstrained run.
     #[must_use]
     pub fn encode_spill(&self) -> Vec<u8> {
-        encode_miner(self, self.checkpoint_id)
+        let mut w = ByteWriter::new();
+        encode_miner(&mut w, self, self.checkpoint_id);
+        w.into_bytes()
     }
 
     /// Rebuilds a miner from [`StreamingMiner::encode_spill`] bytes,
@@ -1151,21 +1205,12 @@ pub fn wal_header() -> [u8; 12] {
     header
 }
 
-/// Frames one opaque `payload` as a WAL record (length, CRC, payload).
-#[must_use]
-pub fn wal_encode_record(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 /// The durable prefix of a write-ahead log, as recovered by [`wal_read`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalContents {
-    /// The payloads of every intact record, in append order.
-    pub records: Vec<Vec<u8>>,
+pub struct WalContents<'a> {
+    /// The payloads of every intact record, in append order, borrowed from
+    /// the bytes [`wal_read`] was given.
+    pub records: Vec<&'a [u8]>,
     /// Byte length of the durable prefix (header + intact records) —
     /// truncate the log file to this length to drop a torn tail.
     pub durable_len: u64,
@@ -1182,7 +1227,7 @@ pub struct WalContents {
 /// # Errors
 /// [`Error::SnapshotCorrupt`] when the header itself is damaged (the file is
 /// not a WAL); [`Error::SnapshotVersion`] for a future WAL version.
-pub fn wal_read(bytes: &[u8]) -> Result<WalContents> {
+pub fn wal_read(bytes: &[u8]) -> Result<WalContents<'_>> {
     if bytes.is_empty() {
         return Ok(WalContents {
             records: Vec::new(),
@@ -1234,7 +1279,7 @@ pub fn wal_read(bytes: &[u8]) -> Result<WalContents> {
             clean = false;
             break;
         }
-        records.push(payload.to_vec());
+        records.push(payload);
         durable = r.pos;
     }
     Ok(WalContents {
@@ -1473,20 +1518,32 @@ mod tests {
         assert_eq!(snapshot_bytes(&mut restored), snapshot_bytes(&mut direct));
     }
 
+    /// Every decode entry point over `bytes`: the reader-based restores and
+    /// the borrowed-slice decode.
+    fn decode_every_way(bytes: &[u8]) -> [Result<StreamingMiner>; 3] {
+        let config = sample_config();
+        [
+            StreamingMiner::restore(&mut &bytes[..]),
+            StreamingMiner::restore_with(&config, &mut &bytes[..]),
+            StreamingMiner::decode_with(&config, bytes),
+        ]
+    }
+
     #[test]
     fn every_truncation_is_a_typed_error() {
         let mut miner = mined_miner();
         let bytes = snapshot_bytes(&mut miner);
         for len in 0..bytes.len() {
-            let result = StreamingMiner::restore(&mut &bytes[..len]);
-            assert!(
-                matches!(
-                    result,
-                    Err(Error::SnapshotCorrupt { .. } | Error::SnapshotVersion { .. })
-                ),
-                "truncation to {len}/{} bytes must fail with a typed error",
-                bytes.len()
-            );
+            for (way, result) in decode_every_way(&bytes[..len]).into_iter().enumerate() {
+                assert!(
+                    matches!(
+                        result,
+                        Err(Error::SnapshotCorrupt { .. } | Error::SnapshotVersion { .. })
+                    ),
+                    "decode {way}: truncation to {len}/{} bytes must fail with a typed error",
+                    bytes.len()
+                );
+            }
         }
     }
 
@@ -1497,12 +1554,104 @@ mod tests {
         for offset in 0..bytes.len() {
             let mut flipped = bytes.clone();
             flipped[offset] ^= 1 << (offset % 8);
-            let result = StreamingMiner::restore(&mut &flipped[..]);
+            for (way, result) in decode_every_way(&flipped).into_iter().enumerate() {
+                assert!(
+                    result.is_err(),
+                    "decode {way}: flipping bit {} of byte {offset} must be detected",
+                    offset % 8
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_decode_is_identical_to_restore_with() {
+        let mut miner = mined_miner();
+        let bytes = snapshot_bytes(&mut miner);
+        let mut a = StreamingMiner::restore_with(&sample_config(), &mut &bytes[..]).unwrap();
+        let mut b = StreamingMiner::decode_with(&sample_config(), &bytes).unwrap();
+        let next = snapshot_bytes(&mut a);
+        assert_eq!(next, snapshot_bytes(&mut b));
+        assert_eq!(next, snapshot_bytes(&mut miner));
+    }
+
+    fn put_bytes(w: &mut ByteWriter, bytes: &[u8]) {
+        for &b in bytes {
+            w.put_u8(b);
+        }
+    }
+
+    /// Reference section framing, built by copying a finished payload:
+    /// `tag · len u64 · payload · crc32(payload) u32`.
+    fn copied_section(tag: u32, payload: &[u8]) -> Vec<u8> {
+        let mut out = tag.to_le_bytes().to_vec();
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn in_place_sections_equal_the_copied_framing() {
+        let multi_mib: Vec<u8> = (0..(3 << 20) + 5u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for payload in [&[][..], &[0xA5][..], &multi_mib[..]] {
+            let mut w = ByteWriter::new();
+            w.put_u8(9); // the section need not start at offset 0
+            w.section(SEC_LEVEL, |w| put_bytes(w, payload));
+            let mut expected = vec![9];
+            expected.extend_from_slice(&copied_section(SEC_LEVEL, payload));
             assert!(
-                result.is_err(),
-                "flipping bit {} of byte {offset} must be detected",
-                offset % 8
+                w.bytes() == expected,
+                "{}-byte payload framed differently",
+                payload.len()
             );
+            let mut cursor = &w.bytes()[1..];
+            assert_eq!(read_section(&mut cursor, SEC_LEVEL).unwrap(), payload);
+            assert!(cursor.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_miner_image_nested_in_a_section_reads_back() {
+        let miner = mined_miner();
+        let image = miner.encode_snapshot();
+        let mut w = ByteWriter::new();
+        w.header(KIND_PIPELINE);
+        w.section(0x10, |w| w.put_u64(3));
+        w.section(0x12, |w| miner.encode_snapshot_to(w));
+        w.section(0x13, |_| {});
+
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&SNAPSHOT_MAGIC);
+        expected.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        expected.extend_from_slice(&KIND_PIPELINE.to_le_bytes());
+        expected.extend_from_slice(&copied_section(0x10, &3u64.to_le_bytes()));
+        expected.extend_from_slice(&copied_section(0x12, &image));
+        expected.extend_from_slice(&copied_section(0x13, &[]));
+        assert_eq!(w.bytes(), expected);
+
+        let mut cursor = parse_header(w.bytes(), KIND_PIPELINE).unwrap();
+        assert_eq!(read_section(&mut cursor, 0x10).unwrap(), 3u64.to_le_bytes());
+        let nested = read_section(&mut cursor, 0x12).unwrap();
+        assert_eq!(nested, image);
+        assert!(read_section(&mut cursor, 0x13).unwrap().is_empty());
+        assert!(cursor.is_empty());
+        // The restored miner carries the image's checkpoint id as its own.
+        let restored = StreamingMiner::decode_with(&sample_config(), nested).unwrap();
+        assert_eq!(restored.encode_spill(), image);
+    }
+
+    #[test]
+    fn in_place_wal_records_equal_the_copied_framing() {
+        for payload in [&b""[..], b"x", b"third record"] {
+            let mut w = ByteWriter::new();
+            w.wal_record(|w| put_bytes(w, payload));
+            let mut expected = (payload.len() as u64).to_le_bytes().to_vec();
+            expected.extend_from_slice(&crc32(payload).to_le_bytes());
+            expected.extend_from_slice(payload);
+            assert_eq!(w.bytes(), expected);
         }
     }
 
@@ -1616,19 +1765,24 @@ mod tests {
         );
     }
 
+    /// A WAL holding one record per payload.
+    fn wal_of(payloads: &[&[u8]]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        put_bytes(&mut w, &wal_header());
+        for payload in payloads {
+            w.wal_record(|w| put_bytes(w, payload));
+        }
+        w.into_bytes()
+    }
+
     #[test]
     fn wal_round_trips_and_recovers_the_durable_prefix() {
-        let mut wal: Vec<u8> = wal_header().to_vec();
-        let payloads: [&[u8]; 3] = [b"first", b"", b"third record"];
-        for p in payloads {
-            wal.extend_from_slice(&wal_encode_record(p));
-        }
+        let wal = wal_of(&[b"first", b"", b"third record"]);
         let contents = wal_read(&wal).unwrap();
         assert!(contents.clean);
         assert_eq!(contents.durable_len, wal.len() as u64);
         assert_eq!(contents.records.len(), 3);
-        assert_eq!(contents.records[0], b"first");
-        assert_eq!(contents.records[2], b"third record");
+        assert_eq!(contents.records, [&b"first"[..], b"", b"third record"]);
 
         // A torn tail (crash mid-append) keeps the durable prefix.
         let torn = &wal[..wal.len() - 3];
@@ -1679,9 +1833,7 @@ mod tests {
 
     #[test]
     fn wal_truncations_and_bit_flips_never_panic() {
-        let mut wal: Vec<u8> = wal_header().to_vec();
-        wal.extend_from_slice(&wal_encode_record(b"alpha"));
-        wal.extend_from_slice(&wal_encode_record(b"beta"));
+        let wal = wal_of(&[b"alpha", b"beta"]);
         for len in 0..wal.len() {
             let _ = wal_read(&wal[..len]); // must not panic
         }

@@ -11,9 +11,11 @@ Checks, in order of severity:
    re-mine. The experiment itself panics on a divergence, so a fresh file
    that exists at all usually passes — this guards against the assertion
    being edited away.
-2. **Pattern counts** must match the baseline at every crash position
-   (keyed by `tail_granules`). Mining and recovery are deterministic; any
-   difference is a correctness regression, not noise.
+2. **Pattern counts and snapshot sizes** must match the baseline at every
+   crash position (keyed by `tail_granules`). Mining, recovery and the
+   snapshot encoding are deterministic; any difference in `patterns` is a
+   correctness regression, and any difference in `snapshot_bytes` is an
+   unversioned change to the frozen snapshot format — not noise.
 3. **Dead counters**: every point needs `granules > 0` and
    `snapshot_bytes > 0`, and at least one point must report `patterns > 0`
    — zeros everywhere mean the snapshot subsystem came unwired.
@@ -85,6 +87,11 @@ def main():
                 f"FAIL: pattern count diverged at tail {tail}: "
                 f"baseline {base_point['patterns']} vs fresh {point['patterns']}"
             )
+        if point["snapshot_bytes"] != base_point["snapshot_bytes"]:
+            sys.exit(
+                f"FAIL: snapshot size diverged at tail {tail}: "
+                f"baseline {base_point['snapshot_bytes']} vs fresh {point['snapshot_bytes']}"
+            )
 
     if not any(p["patterns"] > 0 for p in fresh.values()):
         sys.exit("FAIL: patterns is 0 everywhere — the snapshot subsystem is unwired")
@@ -110,7 +117,8 @@ def main():
             f"{args.max_slowdown:.2f}x (+{ABS_SLACK_SECS}s slack)"
         )
     print(
-        f"ok: {len(fresh)} crash positions, all recoveries exact, patterns identical, "
+        f"ok: {len(fresh)} crash positions, all recoveries exact, patterns and "
+        f"snapshot sizes identical, "
         f"pure-restore speedup {restore['speedup']:.2f}x"
     )
 

@@ -527,7 +527,9 @@ impl StreamingPipeline {
         let start_instants = self.state.as_ref().map_or(0, |s| s.dsyb.len() as u64);
         self.absorb_symbolic(batch)?;
         if let Some(wal) = self.wal.as_mut() {
-            let record = snapshot::wal_encode_record(&encode_symbolic_batch(start_instants, batch));
+            let mut framed = ByteWriter::new();
+            framed.wal_record(|w| encode_symbolic_batch(w, start_instants, batch));
+            let record = framed.bytes();
             let retry = self.retry;
             let mut retries = 0_u64;
             let base_len = wal.len;
@@ -536,7 +538,7 @@ impl StreamingPipeline {
                 // `base_len`, and records written after garbage would be
                 // unreachable to replay.
                 wal.file.set_len(failpoints::WAL_APPEND, base_len)?;
-                wal.file.write_all(failpoints::WAL_APPEND, &record)?;
+                wal.file.write_all(failpoints::WAL_APPEND, record)?;
                 wal.file.sync_all(failpoints::WAL_APPEND_SYNC)
             });
             self.io_retries += retries;
@@ -920,6 +922,11 @@ impl StreamingPipeline {
     /// on first startup. To snapshot into something other than a file, see
     /// [`StreamingPipeline::snapshot_to_writer`].
     ///
+    /// The whole snapshot, the embedded miner image included, is encoded in
+    /// one buffer and written with one `write_all` per attempt, so its
+    /// transient memory is one snapshot image plus the buffer's growth
+    /// slack.
+    ///
     /// # Errors
     /// [`PipelineError::Persistence`] on write, sync, rename or
     /// WAL-truncation failures. On error the checkpoint accounting
@@ -1018,23 +1025,27 @@ impl StreamingPipeline {
     /// checkpoint id; callers commit via `mark_snapshot_durable` once the
     /// bytes landed). Callers `ensure_live` first — a spilled miner cannot
     /// be encoded from its metadata alone.
+    ///
+    /// Every section, the embedded miner image included, is framed in place
+    /// in one buffer, so encoding holds one snapshot image plus the
+    /// buffer's growth slack.
     fn encode_snapshot(&self) -> Result<Vec<u8>, PipelineError> {
-        let mut bytes = Vec::new();
-        snapshot::write_header(&mut bytes, snapshot::KIND_PIPELINE);
-        let mut pipe = ByteWriter::new();
-        pipe.put_u64(self.mapping_factor);
-        pipe.put_u8(u8::from(self.state.is_some()));
-        snapshot::write_section(&mut bytes, SEC_PIPE, pipe.bytes());
+        let mut w = ByteWriter::new();
+        w.header(snapshot::KIND_PIPELINE);
+        w.section(SEC_PIPE, |w| {
+            w.put_u64(self.mapping_factor);
+            w.put_u8(u8::from(self.state.is_some()));
+        });
         if let Some(state) = &self.state {
             let MinerSlot::Live(miner) = &state.miner else {
                 return Err(internal_error(
                     "cannot encode a snapshot of a spilled miner — rehydrate first",
                 ));
             };
-            snapshot::write_section(&mut bytes, SEC_DSYB, &encode_dsyb(&state.dsyb));
-            snapshot::write_section(&mut bytes, SEC_MINER, &miner.encode_snapshot());
+            w.section(SEC_DSYB, |w| encode_dsyb(w, &state.dsyb));
+            w.section(SEC_MINER, |w| miner.encode_snapshot_to(w));
         }
-        Ok(bytes)
+        Ok(w.into_bytes())
     }
 
     /// Replaces this pipeline's state with one restored from a snapshot
@@ -1175,7 +1186,7 @@ impl StreamingPipeline {
         };
         let contents = snapshot::wal_read(&wal_bytes).map_err(PipelineError::Persistence)?;
         let mut replayed_records = 0u64;
-        for record in &contents.records {
+        for &record in &contents.records {
             let (start, batch) =
                 decode_symbolic_batch(record).map_err(PipelineError::Persistence)?;
             let current = self.state.as_ref().map_or(0, |s| s.dsyb.len() as u64);
@@ -1259,13 +1270,11 @@ fn internal_error(reason: &str) -> PipelineError {
 
 /// Encodes the symbolic database for the `DSYB` snapshot section: per series,
 /// its name, alphabet and full symbol vector.
-fn encode_dsyb(dsyb: &SymbolicDatabase) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_dsyb(w: &mut ByteWriter, dsyb: &SymbolicDatabase) {
     w.put_u32(u32::try_from(dsyb.num_series()).expect("series count fits u32"));
     for series in dsyb.series() {
-        write_symbolic_series(&mut w, series);
+        write_symbolic_series(w, series);
     }
-    w.into_bytes()
 }
 
 fn write_symbolic_series(w: &mut ByteWriter, series: &SymbolicSeries) {
@@ -1329,14 +1338,12 @@ fn decode_dsyb(payload: &[u8]) -> Result<SymbolicDatabase, stpm_core::Error> {
 /// Encodes one appended symbolic batch as a self-contained WAL record
 /// payload: the instant count the stream held before the batch, then the
 /// batch itself.
-fn encode_symbolic_batch(start_instants: u64, batch: &SymbolicDatabase) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_symbolic_batch(w: &mut ByteWriter, start_instants: u64, batch: &SymbolicDatabase) {
     w.put_u64(start_instants);
     w.put_u32(u32::try_from(batch.num_series()).expect("series count fits u32"));
     for series in batch.series() {
-        write_symbolic_series(&mut w, series);
+        write_symbolic_series(w, series);
     }
-    w.into_bytes()
 }
 
 fn decode_symbolic_batch(payload: &[u8]) -> Result<(u64, SymbolicDatabase), stpm_core::Error> {
@@ -1405,7 +1412,7 @@ fn decode_pipeline_state(
             cursor.len()
         )));
     }
-    let miner = StreamingMiner::restore_with(config, &mut &miner_bytes[..]).map_err(per)?;
+    let miner = StreamingMiner::decode_with(config, miner_bytes).map_err(per)?;
     if miner.registry() != dsyb.registry() {
         return Err(corrupt(
             "the miner's event registry diverges from the symbolic database's".into(),
